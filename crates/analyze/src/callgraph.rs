@@ -782,11 +782,10 @@ fn panic_reach(g: &CallGraph<'_>, out: &mut Vec<Finding>) {
 mod unit_tests {
     use super::*;
     use crate::source::SourceFile;
-    use crate::symbols::{extract, fnv64};
+    use crate::symbols::extract;
 
     fn summarize(path: &str, src: &str) -> FileSummary {
-        let file = SourceFile::parse(path, src);
-        extract(&file, fnv64(src.as_bytes()), Vec::new(), 0)
+        extract(&SourceFile::parse(path, src))
     }
 
     fn manifest() -> LockOrder {

@@ -359,20 +359,16 @@ impl<'s> Lexer<'s> {
 
     fn number(&mut self) {
         while let Some(c) = self.peek(0) {
-            if c.is_alphanumeric() || c == '_' {
-                self.bump();
-            } else if c == '.' && self.peek(1).is_some_and(|d| d.is_ascii_digit()) {
-                self.bump();
-            } else if (c == '+' || c == '-')
+            let fraction = c == '.' && self.peek(1).is_some_and(|d| d.is_ascii_digit());
+            let exponent_sign = (c == '+' || c == '-')
                 && self
                     .chars
                     .get(self.pos.wrapping_sub(1))
-                    .is_some_and(|p| *p == 'e' || *p == 'E')
-            {
-                self.bump();
-            } else {
+                    .is_some_and(|p| *p == 'e' || *p == 'E');
+            if !(c.is_alphanumeric() || c == '_' || fraction || exponent_sign) {
                 break;
             }
+            self.bump();
         }
     }
 }

@@ -8,20 +8,15 @@
 //! [`callgraph`]) powers three interprocedural passes: lock-set
 //! propagation (cross-function `nested-lock`), `reactor-blocking`
 //! (nothing reachable from the event loop may block), and panic
-//! reachability (cross-crate `panic-path`). Findings can be suppressed
-//! per line with `// anomex: allow(<rule>) reason` or grandfathered in
-//! the committed `analyze-baseline.txt`; `--check` fails only on *new*
-//! findings, which is what CI gates on.
-//!
-//! Per-file work (lexing, rules, symbol extraction) is cached keyed by
-//! an FNV-1a content fingerprint, so warm CI runs re-lex only changed
-//! files.
+//! reachability (cross-crate `panic-path`). A finding is exempted only
+//! at its site, with `// anomex: allow(<rule>) reason`; `--check` fails
+//! on any other finding, which is what CI gates on. Every run lexes
+//! every file afresh.
 //!
 //! The crate deliberately has **zero dependencies** (std only): it is
 //! the first thing CI builds, and it must compile in environments with
 //! no registry access.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod lock_order;
@@ -30,14 +25,12 @@ pub mod source;
 pub mod symbols;
 pub mod walk;
 
-use crate::baseline::Baseline;
 use crate::lock_order::LockOrder;
 use crate::rules::{all_rules, Finding, Rule};
 use crate::source::SourceFile;
-use crate::symbols::FileSummary;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Outcome of analyzing a set of files, before baseline partitioning.
+/// Outcome of analyzing a set of files.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Active findings (test regions and suppressions already filtered).
@@ -46,8 +39,6 @@ pub struct Analysis {
     pub files: usize,
     /// Findings dropped by `anomex: allow` directives.
     pub suppressed: usize,
-    /// Files whose per-file results came from the summary cache.
-    pub cache_hits: usize,
 }
 
 /// The built-in rule set against the committed lock-order manifest.
@@ -92,8 +83,9 @@ pub fn analyze_source(path: &str, src: &str, rules: &[Box<dyn Rule>]) -> (Vec<Fi
 }
 
 /// Analyzes a list of (report path, filesystem path) files: the
-/// per-file rules plus the interprocedural passes, checked against the
-/// workspace's committed lock-order manifest, no cache.
+/// per-file rules plus symbol extraction, then the interprocedural
+/// passes over the linked summaries, checked against the workspace's
+/// committed lock-order manifest.
 ///
 /// # Errors
 /// On unreadable files.
@@ -102,64 +94,22 @@ pub fn analyze_files(
     rules: &[Box<dyn Rule>],
 ) -> Result<Analysis, String> {
     let manifest = LockOrder::parse(lock_order::DEFAULT_MANIFEST).map_err(|e| e.to_string())?;
-    analyze_workspace(files, rules, &manifest, None)
-}
-
-/// Full analysis: per-file rules + symbol extraction (cached by content
-/// fingerprint when `cache_path` is given), then the interprocedural
-/// passes over the linked summaries.
-///
-/// A stale, missing, or malformed cache degrades to a cold run; cache
-/// write failures are ignored (it is only a cache).
-///
-/// # Errors
-/// On unreadable source files.
-pub fn analyze_workspace(
-    files: &[(String, PathBuf)],
-    rules: &[Box<dyn Rule>],
-    manifest: &LockOrder,
-    cache_path: Option<&Path>,
-) -> Result<Analysis, String> {
-    let cached: std::collections::BTreeMap<String, FileSummary> = cache_path
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|text| symbols::parse_cache(&text))
-        .map(|v| v.into_iter().map(|s| (s.path.clone(), s)).collect())
-        .unwrap_or_default();
-
     let mut out = Analysis::default();
-    let mut summaries: Vec<FileSummary> = Vec::with_capacity(files.len());
+    let mut summaries = Vec::with_capacity(files.len());
     for (rel, path) in files {
         let src =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let fp = symbols::fnv64(src.as_bytes());
-        let summary = match cached.get(rel) {
-            Some(c) if c.fingerprint == fp => {
-                out.cache_hits += 1;
-                c.clone()
-            }
-            _ => {
-                let file = SourceFile::parse(rel, &src);
-                let (findings, suppressed) = run_rules(&file, rules);
-                if is_test_file(rel) {
-                    // Integration tests and benches are test code end to
-                    // end: their fns must not join the production call
-                    // graph (a test harness deliberately sleeps/unwraps).
-                    FileSummary {
-                        path: rel.clone(),
-                        fingerprint: fp,
-                        findings,
-                        suppressed,
-                        fns: Vec::new(),
-                    }
-                } else {
-                    symbols::extract(&file, fp, findings, suppressed)
-                }
-            }
-        };
-        out.findings.extend(summary.findings.iter().cloned());
-        out.suppressed += summary.suppressed;
+        let file = SourceFile::parse(rel, &src);
+        let (findings, suppressed) = run_rules(&file, rules);
+        out.findings.extend(findings);
+        out.suppressed += suppressed;
         out.files += 1;
-        summaries.push(summary);
+        // Integration tests and benches are test code end to end: their
+        // fns must not join the production call graph (a test harness
+        // deliberately sleeps/unwraps).
+        if !is_test_file(rel) {
+            summaries.push(symbols::extract(&file));
+        }
     }
 
     // The interprocedural passes and the per-file rules have disjoint
@@ -168,18 +118,11 @@ pub fn analyze_workspace(
     // sites, not acquisition sites), so their findings append directly.
     out.findings.extend(callgraph::interprocedural(
         &summaries,
-        manifest,
+        &manifest,
         &callgraph::crate_deps(files),
     ));
     out.findings
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-
-    if let Some(p) = cache_path {
-        if let Some(dir) = p.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = std::fs::write(p, symbols::render_cache(&summaries));
-    }
     Ok(out)
 }
 
@@ -188,12 +131,6 @@ pub fn analyze_workspace(
 /// workspace call graph.
 fn is_test_file(rel: &str) -> bool {
     rel.contains("/tests/") || rel.starts_with("tests/") || rel.contains("/benches/")
-}
-
-/// Partitions an analysis against a baseline into (new, grandfathered).
-#[must_use]
-pub fn partition(analysis: Analysis, baseline: &Baseline) -> (Vec<Finding>, Vec<Finding>) {
-    baseline.partition(analysis.findings)
 }
 
 #[cfg(test)]

@@ -225,7 +225,7 @@ impl LockOrder {
 }
 
 /// The workspace's committed manifest, compiled into the binary so the
-/// gate needs no runtime file lookup (override with `--lock-order`).
+/// gate needs no runtime file lookup.
 pub const DEFAULT_MANIFEST: &str = include_str!("../lock_order.txt");
 
 #[cfg(test)]

@@ -1,84 +1,40 @@
 //! CLI for anomex-analyze.
 //!
 //! ```text
-//! anomex-analyze [--check] [--write-baseline] [--list-rules]
-//!                [--baseline <file>] [--lock-order <file>]
-//!                [--format <text|json>] [--cache <file> | --no-cache]
-//!                [paths...]
+//! anomex-analyze [--check] [--list-rules] [paths...]
 //! ```
 //!
 //! With no paths, the workspace rooted at the current directory is
 //! analyzed (the fixture corpus under `crates/analyze/fixtures/` is
 //! skipped unless a fixtures path is given explicitly). Default mode
-//! reports and exits 0; `--check` exits 1 when any finding is not
-//! covered by the baseline — that is the CI gate.
-//!
-//! Whole-workspace runs keep a per-file summary cache (default
-//! `target/analyze-cache.txt`) keyed by content fingerprint, so warm
-//! runs re-lex only changed files; `--no-cache` forces a cold run.
-//! `--format json` emits the machine-readable report CI archives.
+//! reports and exits 0; `--check` exits 1 on any finding — that is the
+//! CI gate. A finding is exempted only at its site, with
+//! `// anomex: allow(<rule>) <reason>`. Usage errors and unreadable
+//! files exit 2.
 
-use anomex_analyze::baseline::Baseline;
-use anomex_analyze::lock_order::{LockOrder, DEFAULT_MANIFEST};
-use anomex_analyze::rules::{all_rules, Finding};
 use anomex_analyze::walk::rust_files;
-use anomex_analyze::{analyze_workspace, Analysis};
+use anomex_analyze::{analyze_files, default_rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
     check: bool,
-    write_baseline: bool,
     list_rules: bool,
-    json: bool,
-    no_cache: bool,
-    cache: Option<PathBuf>,
-    baseline: PathBuf,
-    lock_order: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: anomex-analyze [--check] [--write-baseline] [--list-rules] \
-                     [--baseline <file>] [--lock-order <file>] [--format <text|json>] \
-                     [--cache <file> | --no-cache] [paths...]";
+const USAGE: &str = "usage: anomex-analyze [--check] [--list-rules] [paths...]";
 
-fn parse_opts(mut args: std::env::Args) -> Result<Opts, String> {
-    let _argv0 = args.next();
+fn parse_opts(args: std::env::Args) -> Result<Opts, String> {
     let mut opts = Opts {
         check: false,
-        write_baseline: false,
         list_rules: false,
-        json: false,
-        no_cache: false,
-        cache: None,
-        baseline: PathBuf::from("analyze-baseline.txt"),
-        lock_order: None,
         paths: Vec::new(),
     };
-    while let Some(arg) = args.next() {
+    for arg in args.skip(1) {
         match arg.as_str() {
             "--check" => opts.check = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list-rules" => opts.list_rules = true,
-            "--no-cache" => opts.no_cache = true,
-            "--format" => {
-                opts.json = match args.next().as_deref() {
-                    Some("json") => true,
-                    Some("text") => false,
-                    _ => return Err("--format needs 'text' or 'json'".into()),
-                };
-            }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(args.next().ok_or("--cache needs a file")?));
-            }
-            "--baseline" => {
-                opts.baseline = PathBuf::from(args.next().ok_or("--baseline needs a file")?);
-            }
-            "--lock-order" => {
-                opts.lock_order = Some(PathBuf::from(
-                    args.next().ok_or("--lock-order needs a file")?,
-                ));
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}'\n{USAGE}"));
@@ -125,71 +81,9 @@ fn gather(paths: &[PathBuf]) -> Result<Vec<(String, PathBuf)>, String> {
     Ok(out)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_json(
-    analysis: &Analysis,
-    fresh: &[Finding],
-    grandfathered: usize,
-    check_failed: bool,
-) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in fresh.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
-             \"fingerprint\": \"{:016x}\", \"message\": \"{}\", \"snippet\": \"{}\"}}",
-            json_escape(f.rule),
-            json_escape(&f.path),
-            f.line,
-            f.fingerprint(),
-            json_escape(&f.message),
-            json_escape(&f.snippet)
-        ));
-    }
-    if !fresh.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"counts\": {{\"files\": {}, \"new\": {}, \"grandfathered\": {}, \
-         \"suppressed\": {}, \"cache_hits\": {}}},\n  \"check_failed\": {}\n}}\n",
-        analysis.files,
-        fresh.len(),
-        grandfathered,
-        analysis.suppressed,
-        analysis.cache_hits,
-        check_failed
-    ));
-    out
-}
-
 fn run() -> Result<ExitCode, String> {
     let opts = parse_opts(std::env::args())?;
-
-    let manifest_text = match &opts.lock_order {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?
-        }
-        None => DEFAULT_MANIFEST.to_string(),
-    };
-    let manifest = LockOrder::parse(&manifest_text).map_err(|e| e.to_string())?;
-    let rules = all_rules(manifest.clone());
+    let rules = default_rules()?;
 
     if opts.list_rules {
         for rule in &rules {
@@ -201,79 +95,21 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // The summary cache defaults on only for whole-workspace runs —
-    // sub-tree invocations would poison it with prefix-less paths.
-    let cache: Option<PathBuf> = if opts.no_cache {
-        None
-    } else if opts.cache.is_some() {
-        opts.cache.clone()
-    } else if opts.paths.is_empty() {
-        Some(PathBuf::from("target/analyze-cache.txt"))
-    } else {
-        None
-    };
-
-    let files = gather(&opts.paths)?;
-    let analysis: Analysis = analyze_workspace(&files, &rules, &manifest, cache.as_deref())?;
-
-    if opts.write_baseline {
-        let b = Baseline::from_findings(&analysis.findings);
-        std::fs::write(&opts.baseline, b.render())
-            .map_err(|e| format!("write {}: {e}", opts.baseline.display()))?;
-        println!(
-            "wrote {} ({} grandfathered finding(s) across {} file(s))",
-            opts.baseline.display(),
-            b.total(),
-            analysis.files
-        );
-        return Ok(ExitCode::SUCCESS);
+    let analysis = analyze_files(&gather(&opts.paths)?, &rules)?;
+    for f in &analysis.findings {
+        println!("{f}");
     }
-
-    let baseline = if opts.baseline.exists() {
-        Baseline::parse(
-            &std::fs::read_to_string(&opts.baseline)
-                .map_err(|e| format!("read {}: {e}", opts.baseline.display()))?,
-        )?
-    } else {
-        Baseline::default()
-    };
-
-    let suppressed = analysis.suppressed;
-    let n_files = analysis.files;
-    let cache_hits = analysis.cache_hits;
-    let (fresh, grandfathered) = baseline.partition(analysis.findings);
-    let check_failed = opts.check && !fresh.is_empty();
-
-    if opts.json {
-        let analysis_counts = Analysis {
-            findings: Vec::new(),
-            files: n_files,
-            suppressed,
-            cache_hits,
-        };
-        print!(
-            "{}",
-            render_json(&analysis_counts, &fresh, grandfathered.len(), check_failed)
-        );
-    } else {
-        for f in &fresh {
-            println!("{f}");
-        }
-        println!(
-            "anomex-analyze: {} file(s), {} new finding(s), {} grandfathered, {} suppressed, \
-             {} cached",
-            n_files,
-            fresh.len(),
-            grandfathered.len(),
-            suppressed,
-            cache_hits
-        );
-    }
-    if check_failed {
+    println!(
+        "anomex-analyze: {} file(s), {} finding(s), {} suppressed",
+        analysis.files,
+        analysis.findings.len(),
+        analysis.suppressed
+    );
+    if opts.check && !analysis.findings.is_empty() {
         eprintln!(
-            "error: {} new finding(s) — fix them, add `// anomex: allow(<rule>) <reason>`, \
-             or (for deliberate grandfathering) regenerate the baseline",
-            fresh.len()
+            "error: {} finding(s) — fix them, or add `// anomex: allow(<rule>) <reason>` \
+             at a site that is provably fine",
+            analysis.findings.len()
         );
         return Ok(ExitCode::FAILURE);
     }

@@ -26,8 +26,8 @@ impl Rule for FloatOrdering {
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
         let toks = &file.tokens;
         let mut out = Vec::new();
-        for i in 0..toks.len() {
-            if toks[i].is_ident("partial_cmp") {
+        for (i, t) in toks.iter().enumerate() {
+            if t.is_ident("partial_cmp") {
                 out.push(finding_at(
                     file,
                     self.id(),

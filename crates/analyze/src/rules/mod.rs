@@ -21,40 +21,8 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Trimmed text of the offending line (fingerprint input).
+    /// Trimmed text of the offending line.
     pub snippet: String,
-}
-
-impl Finding {
-    /// Stable fingerprint of the finding, independent of the line
-    /// *number* so baselines survive unrelated edits above the site:
-    /// FNV-1a over (rule, whitespace-normalized snippet).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.rule.as_bytes());
-        eat(&[0]);
-        let mut last_space = false;
-        for c in self.snippet.chars() {
-            if c.is_whitespace() {
-                if !last_space {
-                    eat(b" ");
-                }
-                last_space = true;
-            } else {
-                let mut buf = [0u8; 4];
-                eat(c.encode_utf8(&mut buf).as_bytes());
-                last_space = false;
-            }
-        }
-        h
-    }
 }
 
 impl fmt::Display for Finding {
@@ -108,9 +76,8 @@ pub fn receiver_chain(file: &SourceFile, idx: usize) -> Vec<String> {
         Some(d) if toks[d].is_punct('.') => d,
         _ => return out,
     };
-    loop {
-        // Before the `.`: a chain segment ends here.
-        let Some(prev) = i.checked_sub(1) else { break };
+    // Before the `.`: a chain segment ends here.
+    while let Some(prev) = i.checked_sub(1) {
         let t = &toks[prev];
         if t.is_punct(']') || t.is_punct(')') {
             // Skip the balanced group.
@@ -191,24 +158,6 @@ pub fn all_rules(lock_order: crate::lock_order::LockOrder) -> Vec<Box<dyn Rule>>
 #[cfg(test)]
 mod unit_tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_ignores_indentation_and_line_number() {
-        let a = Finding {
-            rule: "panic-path",
-            path: "a.rs".into(),
-            line: 10,
-            message: String::new(),
-            snippet: "let x =   v.unwrap();".into(),
-        };
-        let mut b = a.clone();
-        b.line = 99;
-        b.snippet = "let x = v.unwrap();".into();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let mut c = a.clone();
-        c.rule = "nested-lock";
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
 
     #[test]
     fn receiver_chains() {

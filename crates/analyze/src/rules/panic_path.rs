@@ -4,8 +4,8 @@
 //! A served request must never be able to take down a worker thread, and
 //! detector kernels run under `catch_unwind` only at the outermost
 //! batch layer — so `unwrap`/`expect`/`panic!`-family calls in `core`,
-//! `serve` and `detectors` are findings. Pre-existing sites are
-//! grandfathered in the committed baseline; new ones fail CI. In
+//! `serve` and `detectors` are findings; a site that provably cannot
+//! panic carries an `anomex: allow(panic-path)` reason. In
 //! `serve` (the request path proper) indexing expressions are also
 //! flagged, since a malformed request must become a typed protocol
 //! error, not an out-of-bounds panic.

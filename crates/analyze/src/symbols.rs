@@ -7,29 +7,9 @@
 //! blocking-output macros. Test regions are excluded at extraction and
 //! `anomex: allow` suppressions are resolved here, so the workspace
 //! phase ([`crate::callgraph`]) never needs the source text again.
-//!
-//! Summaries are serializable: the analyzer caches them (and the
-//! per-file rule findings) keyed by an FNV-1a fingerprint of the file
-//! contents, which is what keeps the interprocedural gate fast in CI —
-//! an unchanged file costs one hash, not a re-lex.
 
-use crate::rules::{nested_lock, Finding};
+use crate::rules::nested_lock;
 use crate::source::SourceFile;
-
-/// Bump when the summary shape or serialization format changes; the
-/// cache header carries it so stale caches are discarded, not misread.
-pub const SUMMARY_VERSION: u32 = 2;
-
-/// FNV-1a over raw bytes — the fingerprint the summary cache keys on.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +23,7 @@ pub enum CallKind {
 }
 
 /// A lock guard live at a call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct HeldLock {
     /// Last identifier of the receiver chain (what the manifest keys on).
     pub receiver_last: String,
@@ -54,7 +34,7 @@ pub struct HeldLock {
 }
 
 /// One call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct CallSite {
     /// Callee name (last path segment / method name).
     pub name: String,
@@ -81,7 +61,7 @@ pub struct CallSite {
 }
 
 /// One lock acquisition inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct LockAcq {
     /// Last identifier of the receiver chain.
     pub receiver_last: String,
@@ -98,7 +78,7 @@ pub struct LockAcq {
 }
 
 /// One panic-capable site (`unwrap`/`expect` call or panic-family macro).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct PanicSite {
     /// What panics (`unwrap()`, `panic!`, ...).
     pub what: String,
@@ -111,7 +91,7 @@ pub struct PanicSite {
 }
 
 /// A blocking-output macro (`println!`/`eprintln!`/`print!`/`eprint!`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct BlockSite {
     /// The macro name with `!`.
     pub what: String,
@@ -126,7 +106,7 @@ pub struct BlockSite {
 }
 
 /// One `fn` definition.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Default)]
 pub struct FnDef {
     /// Function name.
     pub name: String,
@@ -165,16 +145,10 @@ impl FnDef {
 }
 
 /// Everything the workspace phase needs to know about one file.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct FileSummary {
     /// Path relative to the analysis root.
     pub path: String,
-    /// FNV-1a of the file contents (cache key).
-    pub fingerprint: u64,
-    /// Per-file rule findings (test/suppression filtering already done).
-    pub findings: Vec<Finding>,
-    /// Findings dropped by `anomex: allow` in the per-file pass.
-    pub suppressed: usize,
     /// Function definitions, in source order.
     pub fns: Vec<FnDef>,
 }
@@ -235,22 +209,12 @@ fn spawn_spans(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Extracts the symbol summary of one parsed file. `fingerprint`,
-/// `findings`, and `suppressed` are carried through from the per-file
-/// pass so the whole analysis of a file caches as one unit.
+/// Extracts the symbol summary of one parsed file.
 #[must_use]
-pub fn extract(
-    file: &SourceFile,
-    fingerprint: u64,
-    findings: Vec<Finding>,
-    suppressed: usize,
-) -> FileSummary {
+pub fn extract(file: &SourceFile) -> FileSummary {
     let toks = &file.tokens;
     let mut out = FileSummary {
         path: file.path.clone(),
-        fingerprint,
-        findings,
-        suppressed,
         fns: Vec::new(),
     };
     let spawns = spawn_spans(toks);
@@ -392,13 +356,7 @@ pub fn extract(
 /// Records whatever event the identifier at `i` constitutes (lock
 /// acquisition, panic site, blocking macro, or call site) into the
 /// innermost open function.
-fn record_event(
-    file: &SourceFile,
-    i: usize,
-    depth: usize,
-    spawned: bool,
-    frames: &mut Vec<FnFrame>,
-) {
+fn record_event(file: &SourceFile, i: usize, depth: usize, spawned: bool, frames: &mut [FnFrame]) {
     let toks = &file.tokens;
     let t = &toks[i];
     let Some(name) = t.ident() else { return };
@@ -639,319 +597,12 @@ fn block_header(toks: &[crate::lexer::Token], i: usize) -> Option<(String, bool,
     None
 }
 
-// ---------------------------------------------------------------------
-// Cache serialization: a line-oriented text format, whitespace-escaped,
-// versioned. Any malformed line discards the whole cache (it is only a
-// cache), never misreads it.
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
-        }
-    }
-    if out.is_empty() {
-        "-".to_string()
-    } else {
-        out
-    }
-}
-
-fn unesc(s: &str) -> Option<String> {
-    if s == "-" {
-        return Some(String::new());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '%' {
-            let hi = chars.next()?;
-            let lo = chars.next()?;
-            let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-            out.push(byte as char);
-        } else {
-            out.push(c);
-        }
-    }
-    Some(out)
-}
-
-/// Maps a rule id back to its `&'static str` (findings hold statics).
-#[must_use]
-pub fn rule_id_static(id: &str) -> Option<&'static str> {
-    match id {
-        "nested-lock" => Some("nested-lock"),
-        "panic-path" => Some("panic-path"),
-        "nondeterminism" => Some("nondeterminism"),
-        "float-ordering" => Some("float-ordering"),
-        "swallowed-error" => Some("swallowed-error"),
-        "reactor-blocking" => Some("reactor-blocking"),
-        _ => None,
-    }
-}
-
-/// Renders summaries to the cache format.
-#[must_use]
-pub fn render_cache(summaries: &[FileSummary]) -> String {
-    let mut out = format!("anomex-analyze-cache v{SUMMARY_VERSION}\n");
-    for s in summaries {
-        out.push_str(&format!(
-            "F {} {:016x} {}\n",
-            esc(&s.path),
-            s.fingerprint,
-            s.suppressed
-        ));
-        for f in &s.findings {
-            out.push_str(&format!(
-                "D {} {} {} {}\n",
-                f.rule,
-                f.line,
-                esc(&f.message),
-                esc(&f.snippet)
-            ));
-        }
-        for fun in &s.fns {
-            out.push_str(&format!(
-                "f {} {} {} {} {} {}\n",
-                esc(&fun.name),
-                esc(&fun.qual),
-                esc(&fun.module),
-                fun.line,
-                u8::from(fun.has_body),
-                u8::from(fun.inherent)
-            ));
-            for c in &fun.calls {
-                let kind = match c.kind {
-                    CallKind::Free => "F",
-                    CallKind::Method => "M",
-                    CallKind::Path => "P",
-                };
-                out.push_str(&format!(
-                    "c {kind} {} {} {} {} {}{}{} {}\n",
-                    esc(&c.name),
-                    esc(&c.qual),
-                    esc(&c.recv),
-                    c.line,
-                    u8::from(c.spawned),
-                    u8::from(c.sup_nested),
-                    u8::from(c.sup_reactor),
-                    esc(&c.snippet)
-                ));
-                for h in &c.held {
-                    out.push_str(&format!(
-                        "h {} {} {}\n",
-                        esc(&h.receiver_last),
-                        esc(&h.desc),
-                        h.line
-                    ));
-                }
-            }
-            for l in &fun.locks {
-                out.push_str(&format!(
-                    "l {} {} {} {}{} {}\n",
-                    esc(&l.receiver_last),
-                    esc(&l.desc),
-                    l.line,
-                    u8::from(l.spawned),
-                    u8::from(l.sup_reactor),
-                    esc(&l.snippet)
-                ));
-            }
-            for p in &fun.panics {
-                out.push_str(&format!(
-                    "p {} {} {} {}\n",
-                    esc(&p.what),
-                    p.line,
-                    u8::from(p.sup),
-                    esc(&p.snippet)
-                ));
-            }
-            for b in &fun.blocking {
-                out.push_str(&format!(
-                    "b {} {} {}{} {}\n",
-                    esc(&b.what),
-                    b.line,
-                    u8::from(b.spawned),
-                    u8::from(b.sup),
-                    esc(&b.snippet)
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Parses a cache file; `None` on any mismatch (wrong version, malformed
-/// line) so a stale cache degrades to a cold run.
-#[must_use]
-pub fn parse_cache(text: &str) -> Option<Vec<FileSummary>> {
-    let mut lines = text.lines();
-    if lines.next()? != format!("anomex-analyze-cache v{SUMMARY_VERSION}") {
-        return None;
-    }
-    let mut out: Vec<FileSummary> = Vec::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        let tag = parts.next()?;
-        match tag {
-            "F" => {
-                let path = unesc(parts.next()?)?;
-                let fp = u64::from_str_radix(parts.next()?, 16).ok()?;
-                let suppressed = parts.next()?.parse().ok()?;
-                out.push(FileSummary {
-                    path,
-                    fingerprint: fp,
-                    suppressed,
-                    ..FileSummary::default()
-                });
-            }
-            "D" => {
-                let rule = rule_id_static(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let message = unesc(parts.next()?)?;
-                let snippet = unesc(parts.next()?)?;
-                let s = out.last_mut()?;
-                s.findings.push(Finding {
-                    rule,
-                    path: s.path.clone(),
-                    line: line_no,
-                    message,
-                    snippet,
-                });
-            }
-            "f" => {
-                let name = unesc(parts.next()?)?;
-                let qual = unesc(parts.next()?)?;
-                let module = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let has_body = parts.next()? == "1";
-                let inherent = parts.next()? == "1";
-                out.last_mut()?.fns.push(FnDef {
-                    name,
-                    qual,
-                    inherent,
-                    module,
-                    line: line_no,
-                    has_body,
-                    ..FnDef::default()
-                });
-            }
-            "c" => {
-                let kind = match parts.next()? {
-                    "F" => CallKind::Free,
-                    "M" => CallKind::Method,
-                    "P" => CallKind::Path,
-                    _ => return None,
-                };
-                let name = unesc(parts.next()?)?;
-                let qual = unesc(parts.next()?)?;
-                let recv = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let flags = parts.next()?;
-                if flags.len() != 3 {
-                    return None;
-                }
-                let mut bits = flags.chars().map(|c| c == '1');
-                let (spawned, sn, sr) = (bits.next()?, bits.next()?, bits.next()?);
-                let snippet = unesc(parts.next()?)?;
-                out.last_mut()?.fns.last_mut()?.calls.push(CallSite {
-                    name,
-                    qual,
-                    recv,
-                    kind,
-                    line: line_no,
-                    snippet,
-                    held: Vec::new(),
-                    spawned,
-                    sup_nested: sn,
-                    sup_reactor: sr,
-                });
-            }
-            "h" => {
-                let receiver_last = unesc(parts.next()?)?;
-                let desc = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                out.last_mut()?
-                    .fns
-                    .last_mut()?
-                    .calls
-                    .last_mut()?
-                    .held
-                    .push(HeldLock {
-                        receiver_last,
-                        desc,
-                        line: line_no,
-                    });
-            }
-            "l" => {
-                let receiver_last = unesc(parts.next()?)?;
-                let desc = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let flags = parts.next()?;
-                if flags.len() != 2 {
-                    return None;
-                }
-                let mut bits = flags.chars().map(|c| c == '1');
-                let (spawned, sup) = (bits.next()?, bits.next()?);
-                let snippet = unesc(parts.next()?)?;
-                out.last_mut()?.fns.last_mut()?.locks.push(LockAcq {
-                    receiver_last,
-                    desc,
-                    line: line_no,
-                    snippet,
-                    spawned,
-                    sup_reactor: sup,
-                });
-            }
-            "p" => {
-                let what = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let sup = parts.next()? == "1";
-                let snippet = unesc(parts.next()?)?;
-                out.last_mut()?.fns.last_mut()?.panics.push(PanicSite {
-                    what,
-                    line: line_no,
-                    snippet,
-                    sup,
-                });
-            }
-            "b" => {
-                let what = unesc(parts.next()?)?;
-                let line_no = parts.next()?.parse().ok()?;
-                let flags = parts.next()?;
-                if flags.len() != 2 {
-                    return None;
-                }
-                let mut bits = flags.chars().map(|c| c == '1');
-                let (spawned, sup) = (bits.next()?, bits.next()?);
-                let snippet = unesc(parts.next()?)?;
-                out.last_mut()?.fns.last_mut()?.blocking.push(BlockSite {
-                    what,
-                    line: line_no,
-                    snippet,
-                    spawned,
-                    sup,
-                });
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod unit_tests {
     use super::*;
 
     fn summarize(path: &str, src: &str) -> FileSummary {
-        let file = SourceFile::parse(path, src);
-        extract(&file, fnv64(src.as_bytes()), Vec::new(), 0)
+        extract(&SourceFile::parse(path, src))
     }
 
     #[test]
@@ -1077,49 +728,5 @@ mod tests {
         assert_eq!(s.fns.len(), 1);
         assert_eq!(s.fns[0].calls.len(), 1);
         assert_eq!(s.fns[0].calls[0].name, "g2");
-    }
-
-    #[test]
-    fn cache_roundtrips() {
-        let src = "\
-impl Engine {
-    fn score(&self) {
-        let g = self.map.lock();
-        helper(1);
-        v.unwrap();
-        println!(\"x\");
-    }
-}
-impl Display for Engine {
-    fn fmt(&self) {}
-}";
-        let file = SourceFile::parse("crates/x/src/a.rs", src);
-        let finding = Finding {
-            rule: "panic-path",
-            path: "crates/x/src/a.rs".into(),
-            line: 5,
-            message: "a message with spaces".into(),
-            snippet: "v.unwrap();".into(),
-        };
-        let s = extract(&file, fnv64(src.as_bytes()), vec![finding], 2);
-        let text = render_cache(std::slice::from_ref(&s));
-        let parsed = parse_cache(&text).expect("cache parses");
-        assert_eq!(parsed.len(), 1);
-        let p = &parsed[0];
-        assert_eq!(p.path, s.path);
-        assert_eq!(p.fingerprint, s.fingerprint);
-        assert_eq!(p.suppressed, 2);
-        assert_eq!(p.findings, s.findings);
-        assert_eq!(p.fns, s.fns);
-        let inherent: Vec<bool> = p.fns.iter().map(|f| f.inherent).collect();
-        assert_eq!(inherent, vec![true, false], "both flag values round-trip");
-    }
-
-    #[test]
-    fn stale_or_foreign_cache_is_discarded() {
-        assert!(parse_cache("anomex-analyze-cache v0\n").is_none());
-        assert!(parse_cache("garbage").is_none());
-        let broken = format!("anomex-analyze-cache v{SUMMARY_VERSION}\nZ what\n");
-        assert!(parse_cache(&broken).is_none());
     }
 }

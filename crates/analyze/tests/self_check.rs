@@ -1,12 +1,9 @@
-//! Self-hosting checks: the workspace analyzes clean against its
-//! committed baseline, the fixture corpus trips every rule (including
-//! the interprocedural ones, with call-chain evidence), and the
-//! summary cache reproduces a cold run exactly.
+//! Self-hosting checks: the workspace analyzes clean, and the fixture
+//! corpus trips every rule (including the interprocedural ones, with
+//! call-chain evidence).
 
-use anomex_analyze::baseline::Baseline;
-use anomex_analyze::lock_order::{LockOrder, DEFAULT_MANIFEST};
 use anomex_analyze::walk::rust_files;
-use anomex_analyze::{analyze_files, analyze_workspace, default_rules, Analysis};
+use anomex_analyze::{analyze_files, default_rules, Analysis};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -31,20 +28,13 @@ fn analyze(root: &Path, prefix: &str, skip_fixtures: bool) -> anomex_analyze::An
 }
 
 #[test]
-fn workspace_analyzes_clean_against_baseline() {
-    let root = workspace_root();
-    let analysis = analyze(&root, "", true);
-    let baseline_path = root.join("analyze-baseline.txt");
-    let baseline = Baseline::parse(
-        &std::fs::read_to_string(&baseline_path)
-            .expect("committed analyze-baseline.txt at the workspace root"),
-    )
-    .expect("baseline parses");
-    let (fresh, _grandfathered) = baseline.partition(analysis.findings);
+fn workspace_analyzes_clean() {
+    let analysis = analyze(&workspace_root(), "", true);
     assert!(
-        fresh.is_empty(),
-        "new findings not in the baseline:\n{}",
-        fresh
+        analysis.findings.is_empty(),
+        "findings on the workspace:\n{}",
+        analysis
+            .findings
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -196,33 +186,4 @@ fn panic_reach_fixture_trips_with_chain() {
         "chain evidence: {}",
         f[0].message
     );
-}
-
-#[test]
-fn summary_cache_reproduces_cold_run_and_skips_relexing() {
-    let root = workspace_root();
-    let rules = default_rules().expect("committed manifest parses");
-    let manifest = LockOrder::parse(DEFAULT_MANIFEST).expect("manifest parses");
-    let files: Vec<(String, PathBuf)> = rust_files(&root)
-        .expect("workspace walks")
-        .into_iter()
-        .filter(|(rel, _)| !rel.contains("crates/analyze/fixtures/"))
-        .collect();
-    let cache =
-        std::env::temp_dir().join(format!("anomex-analyze-cache-{}.txt", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-    let cold =
-        analyze_workspace(&files, &rules, &manifest, Some(&cache)).expect("cold run succeeds");
-    assert_eq!(cold.cache_hits, 0, "no cache to hit on the first run");
-    assert!(cache.exists(), "cold run writes the cache");
-    let warm =
-        analyze_workspace(&files, &rules, &manifest, Some(&cache)).expect("warm run succeeds");
-    let _ = std::fs::remove_file(&cache);
-    assert_eq!(
-        warm.cache_hits, warm.files,
-        "every unchanged file comes from cache"
-    );
-    assert_eq!(warm.files, cold.files);
-    assert_eq!(warm.suppressed, cold.suppressed);
-    assert_eq!(warm.findings, cold.findings, "warm run reproduces cold run");
 }

@@ -155,7 +155,7 @@ fn main() {
         let wall_ms = wall.as_secs_f64() * 1000.0;
         let p50 = q_ms(observed, 0.50);
         let p99 = q_ms(observed, 0.99);
-        if best.map_or(true, |(w, _, _)| wall_ms < w) {
+        if best.is_none_or(|(w, _, _)| wall_ms < w) {
             best = Some((wall_ms, p50, p99));
         }
     }

@@ -543,7 +543,7 @@ pub enum Submitted {
     Queued(u64, Ticket<Response>),
     /// The line failed before queueing (parse error, backpressure); the
     /// response is already final.
-    Immediate(Response),
+    Immediate(Box<Response>),
 }
 
 impl Submitted {
@@ -552,7 +552,7 @@ impl Submitted {
     #[must_use]
     pub fn resolve(self) -> Response {
         match self {
-            Submitted::Immediate(resp) => resp,
+            Submitted::Immediate(resp) => *resp,
             Submitted::Queued(id, ticket) => ticket.wait().unwrap_or_else(|e| e.to_response(id)),
         }
     }
@@ -648,11 +648,11 @@ impl ServeHandle {
             return None;
         }
         let bad_request = |id, err: String| {
-            Submitted::Immediate(Response::failure_coded(
+            Submitted::Immediate(Box::new(Response::failure_coded(
                 id,
                 ErrorCode::BadRequest,
                 format!("bad request: {err}"),
-            ))
+            )))
         };
         let tree = match json::parse(line) {
             Ok(tree) => tree,
@@ -663,7 +663,7 @@ impl ServeHandle {
                 let id = req.id;
                 match self.submit(req) {
                     Ok(ticket) => Submitted::Queued(id, ticket),
-                    Err(e) => Submitted::Immediate(e.to_response(id)),
+                    Err(e) => Submitted::Immediate(Box::new(e.to_response(id))),
                 }
             }
             Err(err) => {
@@ -1050,7 +1050,7 @@ mod unit_tests {
         let a = svc.execute(&score).unwrap().score.unwrap();
         assert_eq!(svc.registry().stats().fits, 2);
         let mut rows = toy_rows();
-        rows.extend(std::iter::repeat(vec![0.02, 0.03]).take(4));
+        rows.extend(std::iter::repeat_n(vec![0.02, 0.03], 4));
         let survivors = rows.split_off(rows.len() - 10);
         let fresh = Arc::new(ExplanationService::new());
         fresh

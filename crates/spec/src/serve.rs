@@ -134,12 +134,12 @@ impl ServeSpec {
             if let Some(v) = slo.get("limit_ms") {
                 parsed.limit_ms = v
                     .as_u64()
-                    .ok_or_else(|| "serve spec 'slo.limit_ms' must be a non-negative integer")?;
+                    .ok_or("serve spec 'slo.limit_ms' must be a non-negative integer")?;
             }
             if let Some(v) = slo.get("quantile") {
                 parsed.quantile = v
                     .as_f64()
-                    .ok_or_else(|| "serve spec 'slo.quantile' must be a number")?;
+                    .ok_or("serve spec 'slo.quantile' must be a number")?;
             }
             spec.slo = Some(parsed);
         }
