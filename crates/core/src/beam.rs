@@ -102,7 +102,8 @@ impl PointExplainer for Beam {
             score_candidates(scorer, point, cands)
         };
         truncate_ranked(&mut stage, self.beam_width);
-        let mut global: Vec<(Subspace, f64)> = stage.clone();
+        // The stages before `stage`, kept whole for classic Beam's global list.
+        let mut earlier: Vec<Vec<(Subspace, f64)>> = Vec::new();
 
         // Later stages: extend the beam with every remaining feature.
         let mut dim = first_dim;
@@ -119,13 +120,16 @@ impl PointExplainer for Beam {
                     }
                 }
             }
-            let scored = score_candidates(scorer, point, cands);
-            stage = scored;
-            truncate_ranked(&mut stage, self.beam_width);
-            global.extend(stage.iter().cloned());
+            let mut next = score_candidates(scorer, point, cands);
+            truncate_ranked(&mut next, self.beam_width);
+            earlier.push(std::mem::replace(&mut stage, next));
         }
 
-        let pool = if self.fixed_dim { stage } else { global };
+        let pool = if self.fixed_dim {
+            stage
+        } else {
+            earlier.into_iter().flatten().chain(stage).collect()
+        };
         RankedSubspaces::from_scored(pool).truncated(self.result_size)
     }
 
@@ -138,17 +142,18 @@ impl PointExplainer for Beam {
     }
 }
 
-/// Scores `point` in every candidate (parallel) and returns the pairs.
+/// Scores `point` in every candidate (misses in parallel) and returns
+/// the pairs.
 fn score_candidates(
     scorer: &SubspaceScorer<'_>,
     point: usize,
     cands: Vec<Subspace>,
 ) -> Vec<(Subspace, f64)> {
-    let scores = scorer.point_scores_batch(&cands, &[point]);
+    let scores = scorer.score_batch(&cands);
     cands
         .into_iter()
         .zip(scores)
-        .map(|(s, v)| (s, v[0]))
+        .map(|(s, v)| (s, v[point]))
         .collect()
 }
 

@@ -8,8 +8,10 @@
 //! per-run scorer-internal map lacked:
 //!
 //! * **Sharded locking** — keys are distributed over N mutex-guarded
-//!   shards by their Fx hash, so concurrent `score_batch` workers no
-//!   longer serialize on one global lock on every cache hit.
+//!   shards by their Fx hash, so threads sharing one cache (the workers
+//!   computing a batch's misses, concurrent serve requests) do not
+//!   serialize on one global lock. A batch's hits are looked up on the
+//!   calling thread with [`ScoreCache::get`], one lock each.
 //! * **Shareable lifetime** — the cache is `Arc`-shareable and outlives a
 //!   single run: one cache can back a whole sweep over explanation
 //!   dimensionalities, and every pipeline pairing the same (dataset,
@@ -239,6 +241,8 @@ impl ScoreCache {
     }
 
     /// Looks up a ready entry without computing. Counts a hit when found.
+    /// A key still being computed by another thread reads as absent:
+    /// `get` never waits.
     #[must_use]
     pub fn get(&self, key: &Subspace) -> Option<Arc<Vec<f64>>> {
         let shard = &self.shards[self.shard_index(key)];
@@ -429,6 +433,33 @@ mod unit_tests {
         let stats = cache.stats();
         assert_eq!(stats.evaluations, 1);
         assert_eq!(stats.hits, 7);
+    }
+
+    #[test]
+    fn get_does_not_wait_on_an_in_flight_key() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = ScoreCache::builder().shards(1).build();
+        let key = s(&[2, 4]);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (cache, key) = (&cache, &key);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                cache.get_or_compute(key, || {
+                    started_tx.send(()).unwrap();
+                    // Returns once the lookup below has run. Bounded, so
+                    // a `get` that waited fails instead of hanging.
+                    let _ = release_rx.recv_timeout(Duration::from_secs(30));
+                    vec![1.0]
+                })
+            });
+            started_rx.recv().unwrap();
+            assert!(cache.get(key).is_none(), "get waited on the computation");
+            drop(release_tx);
+        });
+        assert_eq!(cache.get(key).as_deref(), Some(&vec![1.0]));
+        assert_eq!(cache.stats().hits, 1, "only the ready lookup counts");
     }
 
     #[test]

@@ -26,12 +26,13 @@
 //! assert!(run.dims[1].stats.cache_hits > 0);
 //! ```
 //!
-//! Per-point explanation fans out through [`anomex_parallel::par_map`]
-//! (explainer-internal `score_batch` parallelism automatically degrades
-//! to sequential inside the fan-out, so the machine is never
-//! oversubscribed), and every per-dimension pass returns a [`RunStats`]
-//! telemetry record: wall time, detector evaluations, cache hits and
-//! peak cache residency.
+//! Points are explained one after another. The parallelism lives one
+//! level down, in [`SubspaceScorer::score_batch`]: each explainer stage
+//! serves its cache hits on the calling thread and spreads only its
+//! misses over every core, so no worker waits on another's in-flight
+//! miss and the machine is never oversubscribed. Every per-dimension
+//! pass returns a [`RunStats`] telemetry record: wall time, detector
+//! evaluations, cache hits and peak cache residency.
 
 use crate::cache::ScoreCache;
 use crate::explainer::RankedSubspaces;
@@ -39,7 +40,6 @@ use crate::pipeline::ExplainerKind;
 use crate::scoring::SubspaceScorer;
 use anomex_dataset::Dataset;
 use anomex_detectors::Detector;
-use anomex_parallel::par_map;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -58,8 +58,9 @@ fn obs_points_explained() -> &'static anomex_obs::Counter {
     C.get_or_init(|| anomex_obs::counter("core.engine.points_explained"))
 }
 
-/// What one engine run should do: which points, which explanation
-/// dimensionalities, and under what execution policy.
+/// What one engine run should do: which points, at which explanation
+/// dimensionalities. Points are explained in order; each explainer stage
+/// parallelizes its own cache misses (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
     /// Points of interest (row indices) to explain.
@@ -67,30 +68,16 @@ pub struct RunSpec {
     /// Target explanation dimensionalities, executed in order against
     /// the same warm cache.
     pub dims: Vec<usize>,
-    /// Fan per-point explanation out across cores (default). Summary
-    /// explainers are unaffected (they already parallelize internally
-    /// via `score_batch`).
-    pub parallel_points: bool,
 }
 
 impl RunSpec {
-    /// A spec explaining `points` at each of `dims`, parallel points.
+    /// A spec explaining `points` at each of `dims`.
     #[must_use]
     pub fn new(points: impl Into<Vec<usize>>, dims: impl Into<Vec<usize>>) -> Self {
         RunSpec {
             points: points.into(),
             dims: dims.into(),
-            parallel_points: true,
         }
-    }
-
-    /// Explains the points serially instead of fanning out per point.
-    /// Results are identical either way; this exists for debugging and
-    /// for the determinism tests that prove it.
-    #[must_use]
-    pub fn sequential_points(mut self) -> Self {
-        self.parallel_points = false;
-        self
     }
 }
 
@@ -235,10 +222,10 @@ impl<'a> ExplanationEngine<'a> {
     /// Executes `spec` with `explainer`: one pass per requested
     /// dimensionality, all passes sharing the engine's warm cache.
     ///
-    /// Results are deterministic: identical to the serial, cold-cache
-    /// run of the same spec (parallel fan-out preserves per-point
-    /// outputs, and cached score vectors are bit-identical to recomputed
-    /// ones).
+    /// Results are deterministic: identical to the cold-cache run of the
+    /// same spec, at top level or inside a `par_map` worker (batches
+    /// preserve candidate order, and cached score vectors are
+    /// bit-identical to recomputed ones).
     ///
     /// # Panics
     /// Panics when the spec has no points or no dims, or when a point /
@@ -293,18 +280,11 @@ impl<'a> ExplanationEngine<'a> {
         dim: usize,
     ) -> BTreeMap<usize, RankedSubspaces> {
         match explainer {
-            ExplainerKind::Point(e) => {
-                let ranked: Vec<RankedSubspaces> = if spec.parallel_points && spec.points.len() > 1
-                {
-                    par_map(&spec.points, |&p| e.explain(scorer, p, dim))
-                } else {
-                    spec.points
-                        .iter()
-                        .map(|&p| e.explain(scorer, p, dim))
-                        .collect()
-                };
-                spec.points.iter().copied().zip(ranked).collect()
-            }
+            ExplainerKind::Point(e) => spec
+                .points
+                .iter()
+                .map(|&p| (p, e.explain(scorer, p, dim)))
+                .collect(),
             ExplainerKind::Summary(e) => {
                 let summary = e.summarize(scorer, &spec.points, dim);
                 spec.points.iter().map(|&p| (p, summary.clone())).collect()
@@ -318,7 +298,10 @@ mod unit_tests {
     use super::*;
     use crate::beam::Beam;
     use crate::lookout::LookOut;
+    use crate::refout::RefOut;
+    use anomex_dataset::gen::hics::{generate_hics, HicsPreset};
     use anomex_detectors::Lof;
+    use anomex_parallel::par_map;
     use anomex_stats::rng::{Rng, SeedableRng, StdRng};
 
     fn planted() -> (Dataset, Vec<usize>) {
@@ -368,15 +351,32 @@ mod unit_tests {
     }
 
     #[test]
-    fn parallel_and_serial_points_agree() {
-        let (ds, pois) = planted();
-        let lof = Lof::new(10).unwrap();
-        let par =
-            ExplanationEngine::new(&ds, &lof).run(&beam(), &RunSpec::new(pois.clone(), [2usize]));
-        let ser = ExplanationEngine::new(&ds, &lof)
-            .run(&beam(), &RunSpec::new(pois, [2usize]).sequential_points());
-        assert_eq!(par.dims[0].explanations, ser.dims[0].explanations);
-        assert_eq!(par.dims[0].stats.evaluations, ser.dims[0].stats.evaluations);
+    fn nested_batches_match_fanned_out_batches() {
+        // At top level every stage's misses fan out over the cores; inside
+        // a `par_map` worker every batch runs inline. Neither may move a
+        // ranking or a count. RefOut's pool repeats subspaces within one
+        // batch, so its batches also race on the in-flight guard.
+        let g = generate_hics(HicsPreset::D14, 42);
+        let lof = Lof::new(15).unwrap();
+        let pois = g.ground_truth.points_explained_at_dim(2);
+        let spec = RunSpec::new(pois, [2usize, 3]);
+        let explainers = [beam(), ExplainerKind::Point(Box::new(RefOut::new()))];
+        for explainer in &explainers {
+            let cold_run = || ExplanationEngine::new(&g.dataset, &lof).run(explainer, &spec);
+            let top = cold_run();
+            let nested = par_map(&[true, false], |&go| {
+                assert_eq!(anomex_parallel::is_nested(), anomex_parallel::cores() > 1);
+                go.then(cold_run)
+            })
+            .remove(0)
+            .expect("the first item runs the engine");
+            for (t, n) in top.dims.iter().zip(&nested.dims) {
+                assert_eq!(t.dim, n.dim);
+                assert_eq!(t.explanations, n.explanations, "rankings at {}d", t.dim);
+                assert_eq!(t.stats.evaluations, n.stats.evaluations, "{}d", t.dim);
+                assert_eq!(t.stats.cache_hits, n.stats.cache_hits, "{}d", t.dim);
+            }
+        }
     }
 
     #[test]

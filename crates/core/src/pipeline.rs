@@ -232,9 +232,9 @@ impl Pipeline {
     /// `target_dim`.
     ///
     /// This is a compatibility wrapper over [`ExplanationEngine`]: one
-    /// single-dimensionality engine run with a throwaway cache, points
-    /// explained in parallel. Use [`Pipeline::engine`] directly to keep
-    /// the cache warm across dimensionalities or runs.
+    /// single-dimensionality engine run with a throwaway cache, each
+    /// stage's cache misses scored in parallel. Use [`Pipeline::engine`]
+    /// directly to keep the cache warm across dimensionalities or runs.
     ///
     /// # Panics
     /// Panics when `points` is empty or out of range, or `target_dim` is

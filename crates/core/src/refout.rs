@@ -141,12 +141,9 @@ impl PointExplainer for RefOut {
 
         let mut rng = StdRng::seed_from_u64(self.seed ^ (point as u64).wrapping_mul(0x9E37));
         let pool = self.draw_pool(d, target_dim, &mut rng);
-        // Score the point in every pool projection (parallel, z-scored).
-        let pool_scores: Vec<f64> = scorer
-            .point_scores_batch(&pool, &[point])
-            .into_iter()
-            .map(|v| v[0])
-            .collect();
+        // Score the point in every pool projection (misses in parallel,
+        // z-scored).
+        let pool_scores: Vec<f64> = scorer.score_batch(&pool).iter().map(|v| v[point]).collect();
 
         // Stage 1: assess every single feature by the discrepancy of the
         // score populations of pool members containing vs not containing it.
@@ -186,12 +183,12 @@ impl PointExplainer for RefOut {
         // and rank by the detector's standardized score.
         stage.truncate(self.result_size);
         let cands: Vec<Subspace> = stage.into_iter().map(|(s, _)| s).collect();
-        let refined = scorer.point_scores_batch(&cands, &[point]);
+        let refined = scorer.score_batch(&cands);
         RankedSubspaces::from_scored(
             cands
                 .into_iter()
                 .zip(refined)
-                .map(|(s, v)| (s, v[0]))
+                .map(|(s, v)| (s, v[point]))
                 .collect(),
         )
         .truncated(self.result_size)

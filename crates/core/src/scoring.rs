@@ -190,20 +190,41 @@ impl<'a> SubspaceScorer<'a> {
         self.scores(subspace)[point]
     }
 
-    /// Scores a batch of subspaces in parallel (order preserved). The
-    /// parallelism lives here, at the candidate level, so detectors and
-    /// explainers stay single-threaded and simple. When invoked from
-    /// inside another [`par_map`] region (an explainer already fanned out
-    /// per point), the batch falls back to the sequential path instead of
+    /// Scores a batch of subspaces (order preserved). Cache hits are
+    /// served on the calling thread; only the misses (every key, for an
+    /// uncached scorer) fan out across cores through [`par_map`], so a
+    /// batch of all hits spawns no thread. The
+    /// parallelism lives here, where detector work happens, so detectors
+    /// and explainers stay single-threaded and simple. A batch nested
+    /// inside another [`par_map`] worker runs inline instead of
     /// oversubscribing the machine.
     #[must_use]
     pub fn score_batch(&self, subspaces: &[Subspace]) -> Vec<Arc<Vec<f64>>> {
-        par_map(subspaces, |s| self.scores(s))
+        // A key still in flight on another thread reads as a miss here;
+        // `scores` then waits on it and counts the hit.
+        let found: Vec<Option<Arc<Vec<f64>>>> = subspaces
+            .iter()
+            .map(|s| self.cache.as_ref().and_then(|c| c.get(s)))
+            .collect();
+        let hits = found.iter().filter(|f| f.is_some()).count();
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        obs_cache_hits().add(hits as u64);
+        let misses: Vec<&Subspace> = subspaces
+            .iter()
+            .zip(&found)
+            .filter(|(_, f)| f.is_none())
+            .map(|(s, _)| s)
+            .collect();
+        let mut computed = par_map(&misses, |s| self.scores(s)).into_iter();
+        found
+            .into_iter()
+            .filter_map(|f| f.or_else(|| computed.next()))
+            .collect()
     }
 
     /// Convenience: the standardized scores of a fixed set of points in a
     /// batch of subspaces — `out[i][j]` is the score of `points[j]` in
-    /// `subspaces[i]`. Uses the parallel batch path.
+    /// `subspaces[i]`. Uses [`Self::score_batch`].
     #[must_use]
     pub fn point_scores_batch(&self, subspaces: &[Subspace], points: &[usize]) -> Vec<Vec<f64>> {
         self.score_batch(subspaces)
@@ -318,6 +339,29 @@ mod unit_tests {
         for (s, b) in subs.iter().zip(&batch) {
             let direct = scorer.scores(s);
             assert_eq!(**b, *direct);
+        }
+    }
+
+    #[test]
+    fn batch_counts_hits_once_and_computes_each_miss_once() {
+        let ds = toy();
+        let lof = Lof::new(5).unwrap();
+        let scorer = SubspaceScorer::new(&ds, &lof);
+        let (a, b, c) = (
+            Subspace::new([0usize, 1]),
+            Subspace::new([2usize]),
+            Subspace::new([0usize, 1, 2]),
+        );
+        let subs = vec![a.clone(), b, a, c];
+        let cold = scorer.score_batch(&subs);
+        assert_eq!(scorer.evaluations(), 3, "the repeated key computes once");
+        assert_eq!(scorer.cache_hits(), 1);
+        let warm = scorer.score_batch(&subs);
+        assert_eq!(scorer.evaluations(), 3, "a warm batch computes nothing");
+        assert_eq!(scorer.cache_hits(), 5);
+        for ((s, x), y) in subs.iter().zip(&cold).zip(&warm) {
+            assert!(Arc::ptr_eq(x, y));
+            assert_eq!(**x, *scorer.scores(s));
         }
     }
 

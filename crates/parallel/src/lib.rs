@@ -9,9 +9,9 @@
 //! embarrassingly parallel at the row level — so a chunked
 //! self-scheduling map is all the framework needs, with no external
 //! thread-pool dependency. The crate sits below both `anomex-core`
-//! (explainer fan-out) and `anomex-detectors` (per-row kernels) so the
-//! two layers share one [`is_nested`] oversubscription guard: a
-//! detector row loop running inside an explainer's per-point fan-out
+//! (a scoring batch's cache misses) and `anomex-detectors` (per-row
+//! kernels) so the two layers share one [`is_nested`] oversubscription
+//! guard: a detector row loop running on a worker that scores a miss
 //! automatically degrades to sequential instead of spawning
 //! workers × workers threads.
 
@@ -26,10 +26,10 @@ use std::sync::OnceLock;
 thread_local! {
     /// Set for the lifetime of a [`par_map`] worker thread. A nested
     /// `par_map` call from such a thread would spawn workers × workers
-    /// threads (e.g. `score_batch` inside an explainer that is itself
-    /// fanned out per point, or a detector's row loop inside either),
-    /// so nested calls detect the flag and run sequentially on the
-    /// worker instead.
+    /// threads (e.g. a detector's row loop inside `score_batch`'s miss
+    /// workers, or an explanation inside a serve batch worker), so
+    /// nested calls detect the flag and run sequentially on the worker
+    /// instead.
     static INSIDE_PAR_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
